@@ -32,6 +32,22 @@ pub fn load_recipe(path: &Path) -> Result<Recipe, ScenarioError> {
     Recipe::parse(&text).map_err(|e| ScenarioError::new(format!("{}: {}", path.display(), e)))
 }
 
+/// Removes the file at `path` if there is one.
+///
+/// # Errors
+///
+/// Returns a [`ScenarioError`] when an existing file cannot be removed.
+pub(crate) fn remove_if_present(path: &Path) -> Result<(), ScenarioError> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(ScenarioError::new(format!(
+            "cannot remove {}: {}",
+            path.display(),
+            e
+        ))),
+        _ => Ok(()),
+    }
+}
+
 /// Lists `<name>.json` recipes under `dir`, sorted by file name.
 ///
 /// # Errors

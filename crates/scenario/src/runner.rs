@@ -31,7 +31,7 @@ use cascade_tgraph::{
 
 use crate::gen::{generate_to_store, ScenarioSource};
 use crate::recipe::Recipe;
-use crate::report::{PhaseLoss, ScenarioReport};
+use crate::report::{remove_if_present, PhaseLoss, ScenarioReport};
 use crate::rss::{peak_rss_bytes, Stopwatch};
 use crate::ScenarioError;
 
@@ -177,15 +177,27 @@ impl ScenarioRunner {
     /// ingest path (WAL + snapshot under `scratch`), measuring
     /// sustained ingest throughput.
     ///
+    /// Every replay starts from a fresh WAL and snapshot, named after
+    /// the recipe and the process: files left under those names by an
+    /// earlier failed call are removed first (the engine would
+    /// otherwise recover them, and this run's first event would break
+    /// their time order), and the files are removed again on success.
+    ///
     /// # Errors
     ///
     /// Returns a [`ScenarioError`] on recipe misuse or a serving-engine
     /// failure.
     pub fn serve_replay(&self, scratch: &Path) -> Result<ScenarioReport, ScenarioError> {
         let model = self.build_model()?;
-        let stem = self.recipe.name.replace(['@', '/'], "_");
+        let stem = format!(
+            "{}_{}",
+            self.recipe.name.replace(['@', '/'], "_"),
+            std::process::id()
+        );
         let wal = scratch.join(format!("{}_replay.wal", stem));
         let snapshot = scratch.join(format!("{}_replay.csc", stem));
+        remove_if_present(&wal)?;
+        remove_if_present(&snapshot)?;
         let mut engine = Engine::open(model, EngineConfig::new(&wal, &snapshot))
             .map_err(|e| ScenarioError::new(format!("cannot open serve engine: {}", e)))?;
 
@@ -199,6 +211,9 @@ impl ScenarioRunner {
                 self.recipe.base_events()
             )));
         }
+        drop(engine);
+        remove_if_present(&wal)?;
+        remove_if_present(&snapshot)?;
         let mut report = self.blank_report("serve-replay");
         report.wall_secs = secs;
         report.events_per_sec = rate(acked, secs);

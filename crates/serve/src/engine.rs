@@ -4,15 +4,37 @@
 //! # Ownership and concurrency
 //!
 //! Exactly one thread owns an [`Engine`] and with it all memory writes;
-//! predict handlers never touch the live model. Instead, after every
-//! applied ingest request the engine *publishes* an immutable
-//! [`ServeSnapshot`] — a clone of the model (shared parameters, deep
-//! copy of memories/mailboxes/adjacency) plus the feature history —
-//! behind an [`RwLock`]`<Arc<…>>`. Readers hold the lock only long
-//! enough to clone the `Arc`, then score against a frozen state with no
-//! lock held: a reader can never observe a torn mid-batch state, and
-//! ingest never waits for readers. Staleness is bounded by one ingest
-//! request (MSPipe-style bounded staleness, DESIGN.md §11).
+//! predict handlers never touch the writer's state. The engine keeps
+//! two *replicas* of the serving state, each a model (shared
+//! parameters, its own memories/mailboxes/adjacency) plus its own
+//! edge-feature history. One is the writer replica that ingest
+//! mutates; the other is the published [`ServeSnapshot`] behind an
+//! [`RwLock`]`<Arc<…>>`. Readers hold the lock only long enough to
+//! clone the `Arc`, then score against a frozen state with no lock
+//! held: a reader can never observe a torn mid-batch state, and ingest
+//! never waits for readers. Staleness is bounded by one ingest request
+//! (MSPipe-style bounded staleness, DESIGN.md §11).
+//!
+//! # Publishing by ticket replay
+//!
+//! Each applied sub-batch is logged as a ticket: its events, first
+//! event id, feature rows, and the [`BatchPending`] write-back that
+//! [`MemoryTgnn::forward_batch`] computed. Publishing moves the writer
+//! replica into the new snapshot, takes the retired snapshot back with
+//! [`Arc::try_unwrap`], and catches it up by pushing each ticket's rows
+//! and running [`MemoryTgnn::apply_batch`] on it — the same write-backs,
+//! message pushes, and adjacency inserts in the same order, with no
+//! forward compute — so it becomes the next writer replica bit-identical
+//! to the published one (DistTGL keeps its memory replicas consistent
+//! the same way). Publishing therefore costs O(request), not O(state).
+//!
+//! Only when a predict still holds the retired snapshot does publish
+//! fall back to a full copy: the writer replica stays shared with the
+//! published snapshot and the next write copies it
+//! ([`Arc::make_mut`]), while the reader keeps its retired state until
+//! it drops it. `/stats` counts both paths (`publish_replays`,
+//! `publish_clones`). Steady-state memory is two replicas; a reader
+//! pinning an old snapshot holds a third until it lets go.
 //!
 //! # Durability
 //!
@@ -30,7 +52,7 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError, RwLock};
 
-use cascade_models::MemoryTgnn;
+use cascade_models::{BatchPending, MemoryTgnn};
 use cascade_tgraph::{EdgeFeatures, Event};
 
 use crate::error::ServeError;
@@ -81,9 +103,11 @@ impl EngineConfig {
     }
 }
 
-/// An immutable published state readers score against.
+/// One replica of the serving state; once published, an immutable
+/// state readers score against.
+#[derive(Clone)]
 pub struct ServeSnapshot {
-    /// Frozen model: shared parameters, deep-copied mutable state.
+    /// Model: shared parameters, replica-owned mutable state.
     pub model: MemoryTgnn,
     /// Feature history aligned with the model's adjacency event ids.
     pub feats: EdgeFeatures,
@@ -109,13 +133,15 @@ impl SharedState {
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
     }
+}
 
-    fn publish(&self, snap: Arc<ServeSnapshot>) {
-        *self
-            .snapshot
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = snap;
-    }
+/// One applied sub-batch, logged until the next publish replays it
+/// into the retired replica.
+struct Ticket {
+    events: Vec<Event>,
+    first_id: usize,
+    rows: Vec<f32>,
+    pending: BatchPending,
 }
 
 /// What [`Engine::open`] found on disk.
@@ -141,8 +167,11 @@ pub struct IngestAck {
 /// The single-writer serving engine. See the module docs for the
 /// ownership and durability story.
 pub struct Engine {
-    model: MemoryTgnn,
-    feats: EdgeFeatures,
+    /// The replica ingest writes to; shared with the published snapshot
+    /// only after a reader-held fallback, until the next write copies it.
+    writer: Arc<ServeSnapshot>,
+    /// Sub-batches applied to `writer` since the last publish.
+    tickets: Vec<Ticket>,
     wal: cascade_store::ChunkWriter,
     frame_unit: usize,
     applied: usize,
@@ -225,12 +254,14 @@ impl Engine {
             applied += n;
         }
 
+        // Both replicas start as one state; the first write copies it.
+        let writer = Arc::new(ServeSnapshot {
+            model,
+            feats,
+            events: applied,
+        });
         let shared = Arc::new(SharedState {
-            snapshot: RwLock::new(Arc::new(ServeSnapshot {
-                model: model.clone(),
-                feats: feats.clone(),
-                events: applied,
-            })),
+            snapshot: RwLock::new(writer.clone()),
             stats: Stats::default(),
         });
         shared
@@ -242,8 +273,8 @@ impl Engine {
             .events_published
             .store(applied as u64, Ordering::Relaxed);
         Ok(Engine {
-            model,
-            feats,
+            writer,
+            tickets: Vec::new(),
             frame_unit: wal.chunk_size,
             applied,
             last_time,
@@ -277,7 +308,7 @@ impl Engine {
     /// The serialized model state (for bit-identity checks in tests and
     /// tooling).
     pub fn export_state(&self) -> Vec<u8> {
-        self.model.export_state()
+        self.writer.model.export_state()
     }
 
     /// Durably writes, then acks, then applies `events` to the live
@@ -299,7 +330,7 @@ impl Engine {
         if events.is_empty() {
             return Err(ServeError::BadRequest("empty ingest batch".to_string()));
         }
-        let dim = self.model.edge_feat_dim();
+        let dim = self.writer.model.edge_feat_dim();
         if features.len() != events.len() * dim {
             return Err(ServeError::BadRequest(format!(
                 "{} feature values for {} events of width {}",
@@ -308,7 +339,7 @@ impl Engine {
                 dim
             )));
         }
-        let num_nodes = self.model.num_nodes();
+        let num_nodes = self.writer.model.num_nodes();
         let mut prev = self.last_time;
         for (i, e) in events.iter().enumerate() {
             if e.src.index() >= num_nodes || e.dst.index() >= num_nodes {
@@ -341,11 +372,19 @@ impl Engine {
                 .stats
                 .events_acked
                 .store(acked as u64, Ordering::Relaxed);
-            self.feats.push_rows(rows);
-            let fwd = self.model.forward_batch(sub, self.applied, &self.feats);
-            self.model
-                .apply_batch(sub, self.applied, &self.feats, fwd.pending);
+            let w = Arc::make_mut(&mut self.writer);
+            w.feats.push_rows(rows);
+            let fwd = w.model.forward_batch(sub, self.applied, &w.feats);
+            self.tickets.push(Ticket {
+                events: sub.to_vec(),
+                first_id: self.applied,
+                rows: rows.to_vec(),
+                pending: fwd.pending.clone(),
+            });
+            w.model
+                .apply_batch(sub, self.applied, &w.feats, fwd.pending);
             self.applied += n;
+            w.events = self.applied;
             self.since_snapshot += n;
             done += n;
         }
@@ -367,7 +406,11 @@ impl Engine {
     ///
     /// [`ServeError::Snapshot`] on checkpoint failures.
     pub fn snapshot_now(&mut self) -> Result<(), ServeError> {
-        persist::save_snapshot(&self.model, &self.config.snapshot_path, self.applied as u64)?;
+        persist::save_snapshot(
+            &self.writer.model,
+            &self.config.snapshot_path,
+            self.applied as u64,
+        )?;
         self.since_snapshot = 0;
         self.shared
             .stats
@@ -376,14 +419,40 @@ impl Engine {
         Ok(())
     }
 
-    fn publish(&self) {
-        self.shared.publish(Arc::new(ServeSnapshot {
-            model: self.model.clone(),
-            feats: self.feats.clone(),
-            events: self.applied,
-        }));
-        self.shared
-            .stats
+    /// Publishes the writer replica and makes the retired one the next
+    /// writer, caught up by replaying this request's tickets (see the
+    /// module docs).
+    fn publish(&mut self) {
+        let retired = std::mem::replace(
+            &mut *self
+                .shared
+                .snapshot
+                .write()
+                .unwrap_or_else(PoisonError::into_inner),
+            self.writer.clone(),
+        );
+        let stats = &self.shared.stats;
+        match Arc::try_unwrap(retired) {
+            Ok(mut spare) => {
+                for t in self.tickets.drain(..) {
+                    spare.feats.push_rows(&t.rows);
+                    spare
+                        .model
+                        .apply_batch(&t.events, t.first_id, &spare.feats, t.pending);
+                }
+                spare.events = self.applied;
+                self.writer = Arc::new(spare);
+                stats.publish_replays.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(_) => {
+                // A reader still holds the retired state: leave the
+                // writer shared with the published snapshot, so the
+                // next write copies it.
+                self.tickets.clear();
+                stats.publish_clones.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        stats
             .events_published
             .store(self.applied as u64, Ordering::Relaxed);
     }

@@ -219,6 +219,11 @@ fn handle_connection(
                 write_response(&mut writer, 400, &error_response(&msg).to_string(), false).ok();
                 return;
             }
+            Err(HttpError::LineTooLong) => {
+                let msg = "request or header line too long";
+                write_response(&mut writer, 431, &error_response(msg).to_string(), false).ok();
+                return;
+            }
             Err(HttpError::Io(_)) => return,
         };
         let keep_alive = request.keep_alive;

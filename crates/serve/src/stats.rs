@@ -132,6 +132,11 @@ pub struct Stats {
     pub ingest_requests: AtomicU64,
     /// Durable state snapshots written.
     pub snapshots_written: AtomicU64,
+    /// Publishes that caught the retired replica up by ticket replay.
+    pub publish_replays: AtomicU64,
+    /// Publishes that fell back to copying the published state because
+    /// a reader still held the retired snapshot.
+    pub publish_clones: AtomicU64,
     /// `/predict` end-to-end handler latency.
     pub predict_latency: LatencyHistogram,
     /// `/ingest` end-to-end handler latency (includes fsync + apply).
@@ -164,6 +169,8 @@ impl Stats {
                 "snapshots_written".to_string(),
                 load(&self.snapshots_written),
             ),
+            ("publish_replays".to_string(), load(&self.publish_replays)),
+            ("publish_clones".to_string(), load(&self.publish_clones)),
             (
                 "predict_latency".to_string(),
                 self.predict_latency.to_json(),
@@ -216,6 +223,9 @@ mod tests {
         s.predict_latency.record(500);
         let j = s.to_json();
         assert!(j.get("staleness_lag").is_some());
+        for counter in ["publish_replays", "publish_clones"] {
+            assert_eq!(j.get(counter).and_then(Json::as_usize), Some(0));
+        }
         let p = j.get("predict_latency").expect("predict_latency present");
         assert_eq!(p.get("count").and_then(Json::as_usize), Some(1));
         assert!(p.get("p99_ms").and_then(Json::as_f64).is_some());
