@@ -106,7 +106,7 @@ impl Abs {
             self.batches_since_improvement = 0;
             return None;
         }
-        self.batches_since_improvement += 1;
+        self.batches_since_improvement = self.batches_since_improvement.saturating_add(1);
         let at_checkpoint = batch_idx > 0 && batch_idx.is_multiple_of(self.decay_period);
         if at_checkpoint && self.batches_since_improvement >= self.patience {
             self.batches_since_improvement = 0;

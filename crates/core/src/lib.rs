@@ -54,6 +54,7 @@
 
 mod abs;
 mod batching;
+mod codec;
 mod dependency;
 mod diffuser;
 mod instrument;
@@ -72,10 +73,10 @@ pub use instrument::{SpaceBreakdown, StageTiming, StageTimings, UtilizationProxy
 pub use scheduler::{CascadeConfig, CascadeScheduler};
 pub use sgfilter::SgFilter;
 pub use streaming::{
-    train_streaming, train_streaming_with_options, train_streaming_with_provider,
-    CheckpointProgress, ChunkProvider, ProvidedChunk, StreamCheckpoint, StreamMeta, StreamOptions,
-    StreamOutcome,
+    train_streaming, train_streaming_with_options, train_streaming_with_provider, ChunkProvider,
+    ProvidedChunk, StreamCheckpoint, StreamMeta, StreamOptions, StreamOutcome,
 };
 pub use trainer::{
-    evaluate, evaluate_range, train, train_with_observer, EvalReport, TrainConfig, TrainReport,
+    evaluate, evaluate_range, train, train_with_observer, CheckpointProgress, ComputedBatch,
+    EvalReport, TrainConfig, TrainReport, TrainRun,
 };

@@ -12,6 +12,7 @@ use cascade_tgraph::{Event, EventId};
 
 use crate::abs::{Abs, EnduranceStats};
 use crate::batching::{BatchingStrategy, PrebuiltTable, StrategySpace, StrategyTimers, TableSpec};
+use crate::codec::Reader;
 use crate::dependency::DependencyTable;
 use crate::diffuser::TgDiffuser;
 use crate::sgfilter::SgFilter;
@@ -364,7 +365,7 @@ impl BatchingStrategy for CascadeScheduler {
     }
 
     fn after_batch(&mut self, _batch_idx: usize, train_loss: f32) {
-        self.global_batch_idx += 1;
+        self.global_batch_idx = self.global_batch_idx.saturating_add(1);
         if self.cfg.freeze_max_r {
             return;
         }
@@ -532,21 +533,30 @@ impl BatchingStrategy for CascadeScheduler {
     }
 
     fn import_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut off = 0usize;
-        if read_u8(bytes, &mut off)? != 1 {
+        let mut r = Reader::new(bytes, "scheduler state truncated");
+        if r.u8()? != 1 {
             return Err("unsupported scheduler state version".to_string());
         }
-        self.global_batch_idx = read_u64(bytes, &mut off)? as usize;
-        if read_u8(bytes, &mut off)? == 1 {
-            self.restored_max_r = Some(read_u64(bytes, &mut off)? as usize);
+        self.global_batch_idx = r.u64()? as usize;
+        if r.u8()? == 1 {
+            let max_r = r.u64()? as usize;
+            if max_r == 0 {
+                return Err("scheduler state has Max_r 0".to_string());
+            }
+            self.restored_max_r = Some(max_r);
         }
-        if read_u8(bytes, &mut off)? == 1 {
-            let max = read_u64(bytes, &mut off)? as usize;
-            let mean = f64::from_le_bytes(read_array::<8>(bytes, &mut off)?);
-            let min = read_u64(bytes, &mut off)? as usize;
-            let batch_count = read_u64(bytes, &mut off)? as usize;
-            let best = f32::from_le_bytes(read_array::<4>(bytes, &mut off)?);
-            let stalled = read_u64(bytes, &mut off)? as usize;
+        if r.u8()? == 1 {
+            let max = r.u64()? as usize;
+            let mean = f64::from_bits(r.u64()?);
+            let min = r.u64()? as usize;
+            let batch_count = r.u64()? as usize;
+            let best = f32::from_bits(r.u32()?);
+            let stalled = r.u64()? as usize;
+            // Profiling yields min <= mean <= max; reject forged stats
+            // that would invert the `Max_r` clamp range.
+            if min > max || max > i64::MAX as usize / 2 || mean > max as f64 {
+                return Err("scheduler state has inconsistent endurance stats".to_string());
+            }
             let mut abs = Abs::from_stats(EnduranceStats {
                 max,
                 mean,
@@ -556,15 +566,15 @@ impl BatchingStrategy for CascadeScheduler {
             abs.restore_convergence_state(best, stalled);
             self.abs = Some(abs);
         }
-        if read_u8(bytes, &mut off)? == 1 {
-            let n = read_u64(bytes, &mut off)? as usize;
-            if off + n > bytes.len() {
-                return Err("scheduler state truncated in stable flags".to_string());
-            }
-            let flags: Vec<bool> = bytes[off..off + n].iter().map(|&b| b != 0).collect();
-            off += n;
-            let updates = read_u64(bytes, &mut off)? as usize;
-            let stable = read_u64(bytes, &mut off)? as usize;
+        if r.u8()? == 1 {
+            let flags: Vec<bool> = r
+                .blob()
+                .map_err(|_| "scheduler state truncated in stable flags".to_string())?
+                .iter()
+                .map(|&b| b != 0)
+                .collect();
+            let updates = r.u64()? as usize;
+            let stable = r.u64()? as usize;
             let sg = self
                 .sg
                 .as_mut()
@@ -590,30 +600,11 @@ fn push_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn read_u8(bytes: &[u8], off: &mut usize) -> Result<u8, String> {
-    let b = *bytes
-        .get(*off)
-        .ok_or("scheduler state truncated".to_string())?;
-    *off += 1;
-    Ok(b)
-}
-
-fn read_u64(bytes: &[u8], off: &mut usize) -> Result<u64, String> {
-    Ok(u64::from_le_bytes(read_array::<8>(bytes, off)?))
-}
-
-fn read_array<const N: usize>(bytes: &[u8], off: &mut usize) -> Result<[u8; N], String> {
-    let slice = bytes
-        .get(*off..*off + N)
-        .ok_or("scheduler state truncated".to_string())?;
-    *off += N;
-    Ok(slice.try_into().expect("slice length checked above"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cascade_tgraph::SynthConfig;
+    use cascade_util::{check, prop_assert};
 
     fn small_data() -> cascade_tgraph::Dataset {
         SynthConfig::wiki().with_scale(0.01).generate(5)
@@ -803,6 +794,46 @@ mod tests {
         r.enter_chunk(0, 0, &events[..200], None);
         assert_eq!(r.max_r(), s.max_r());
         assert_eq!(r.export_state(), s.export_state());
+    }
+
+    #[test]
+    fn mutated_states_import_or_fail_without_panicking() {
+        let data = small_data();
+        let events = data.stream().events();
+        let fresh = || {
+            let mut s = CascadeScheduler::new(base_cfg());
+            assert!(s.prepare_streaming(data.num_events(), data.num_nodes(), 200));
+            s
+        };
+        let mut s = fresh();
+        s.enter_chunk(0, 0, &events[..200], None);
+        for i in 1..=30 {
+            let _ = s.next_batch_end(0, 50);
+            s.after_batch(i, 1.0);
+        }
+        let valid = s.export_state();
+
+        // A u64::MAX stable-flag length must be an error, not an overflow.
+        let at = valid.len() - 16 - data.num_nodes() - 8;
+        let mut forged = valid.clone();
+        forged[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(fresh().import_state(&forged).is_err());
+
+        check("scheduler_state_mutations", |g| {
+            let bytes = g.mutate_bytes(valid.clone());
+            let mut r = fresh();
+            if r.import_state(&bytes).is_ok() {
+                // Accepted state must drive the scheduler like any other.
+                r.enter_chunk(0, 0, &events[..200], None);
+                for i in 1..=30 {
+                    let end = r.next_batch_end(0, 200);
+                    prop_assert!(end > 0 && end <= 200, "bad boundary {}", end);
+                    r.after_batch(i, 1.0); // stalled loss drives the ABS decay
+                }
+                prop_assert!(fresh().import_state(&r.export_state()).is_ok());
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -74,9 +74,9 @@ impl SgFilter {
             let sim = cosine_similarity(&d.pre, &d.post);
             let stable = sim >= self.theta;
             self.flags[d.node.index()] = stable;
-            self.epoch_updates += 1;
+            self.epoch_updates = self.epoch_updates.saturating_add(1);
             if stable {
-                self.epoch_stable += 1;
+                self.epoch_stable = self.epoch_stable.saturating_add(1);
             }
         }
     }

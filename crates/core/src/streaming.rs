@@ -3,14 +3,15 @@
 //! from an [`EventSource`] while keeping only a bounded rolling window
 //! of events resident.
 //!
-//! The driver replicates the serial trainer's batch loop operation for
-//! operation, so a streaming run is **bit-identical** (gradients,
-//! memories, post-step parameters) to an in-memory run over the same
-//! events with the same chunk geometry (`CascadeConfig::chunk_size =
-//! Some(source chunk size)` for the Cascade strategy). The pipelined
-//! executor in `cascade-exec` reuses the same driver through the
-//! [`ChunkProvider`] trait, so overlap changes wall-clock only, never
-//! results.
+//! The driver runs each batch through the same [`TrainRun`] step, tally
+//! and report as the serial trainer, and differs from it only in where
+//! the events come from. A streaming run is therefore **bit-identical**
+//! (gradients, memories, post-step parameters) to an in-memory run over
+//! the same events with the same chunk geometry
+//! (`CascadeConfig::chunk_size = Some(source chunk size)` for the
+//! Cascade strategy). The pipelined executor in `cascade-exec` reuses
+//! the same driver through the [`ChunkProvider`] trait, so overlap
+//! changes wall-clock only, never results.
 //!
 //! Mid-stream suspend/resume: [`StreamOptions::suspend_after`] stops the
 //! run just before a chunk is entered and returns a
@@ -22,12 +23,13 @@
 use std::time::{Duration, Instant};
 
 use cascade_models::MemoryTgnn;
-use cascade_nn::{average_precision, binary_accuracy, clip_grad_norm, Adam, Module};
-use cascade_tgraph::{EdgeFeatures, Event, EventSource, SourceError};
+use cascade_tgraph::{chronological_split, EdgeFeatures, Event, EventSource, SourceError};
 
 use crate::batching::{BatchingStrategy, PrebuiltTable};
-use crate::instrument::{SpaceBreakdown, StageTimings};
-use crate::trainer::{EvalReport, TrainConfig, TrainReport};
+use crate::codec::Reader;
+use crate::trainer::{
+    CheckpointProgress, EvalAccumulator, RunFacts, TrainConfig, TrainReport, TrainRun,
+};
 
 /// Stream geometry the driver needs up front (mirrors the accessors of
 /// [`EventSource`], so pipelined executors can capture it before moving
@@ -146,35 +148,13 @@ pub struct StreamCheckpoint {
     pub start_event: usize,
     /// Serialized model state ([`MemoryTgnn::export_state`]).
     pub model: Vec<u8>,
-    /// Serialized optimizer state ([`Adam::export_state`]).
+    /// Serialized optimizer state ([`cascade_nn::Adam::export_state`]).
     pub optimizer: Vec<u8>,
     /// Serialized strategy state
     /// ([`BatchingStrategy::export_state`]).
     pub strategy: Vec<u8>,
     /// Report accumulators carried across the suspension.
     pub progress: CheckpointProgress,
-}
-
-/// The report accumulators a checkpoint carries so the resumed run's
-/// [`TrainReport`] matches the uninterrupted one.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct CheckpointProgress {
-    /// Bit pattern of the suspended epoch's running loss sum.
-    pub loss_sum_bits: u64,
-    /// Events processed in the suspended epoch.
-    pub event_sum: usize,
-    /// Batches processed in the suspended epoch.
-    pub batch_idx: usize,
-    /// Batches processed across all epochs so far.
-    pub num_batches: usize,
-    /// Largest batch seen so far.
-    pub max_batch: usize,
-    /// Mean losses of completed epochs.
-    pub epoch_losses: Vec<f32>,
-    /// Sizes of every batch so far.
-    pub batch_sizes: Vec<u32>,
-    /// Losses of every batch so far.
-    pub batch_losses: Vec<f32>,
 }
 
 const CHECKPOINT_MAGIC: [u8; 4] = *b"CSCK";
@@ -229,81 +209,29 @@ impl StreamCheckpoint {
     /// Returns a description on a bad magic, unsupported version, or
     /// truncation.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut off = 0usize;
-        let take = |off: &mut usize, n: usize| -> Result<&[u8], String> {
-            let s = bytes
-                .get(*off..*off + n)
-                .ok_or("checkpoint truncated".to_string())?;
-            *off += n;
-            Ok(s)
-        };
-        let read_u64 = |off: &mut usize| -> Result<u64, String> {
-            Ok(u64::from_le_bytes(
-                take(off, 8)?.try_into().expect("slice is 8 bytes"),
-            ))
-        };
-        let read_u32 = |off: &mut usize| -> Result<u32, String> {
-            Ok(u32::from_le_bytes(
-                take(off, 4)?.try_into().expect("slice is 4 bytes"),
-            ))
-        };
-        if take(&mut off, 4)? != CHECKPOINT_MAGIC {
+        let mut r = Reader::new(bytes, "checkpoint truncated");
+        if r.take(4)? != CHECKPOINT_MAGIC {
             return Err("not a cascade streaming checkpoint".to_string());
         }
-        if *take(&mut off, 1)?.first().expect("slice is 1 byte") != 1 {
+        if r.u8()? != 1 {
             return Err("unsupported checkpoint version".to_string());
         }
-        let epoch = read_u64(&mut off)? as usize;
-        let chunk = read_u64(&mut off)? as usize;
-        let start_event = read_u64(&mut off)? as usize;
-        let mut blobs = Vec::with_capacity(3);
-        for _ in 0..3 {
-            let len = read_u64(&mut off)? as usize;
-            blobs.push(take(&mut off, len)?.to_vec());
-        }
-        let strategy = blobs.pop().expect("three blobs pushed");
-        let optimizer = blobs.pop().expect("two blobs remain");
-        let model = blobs.pop().expect("one blob remains");
-        let loss_sum_bits = read_u64(&mut off)?;
-        let event_sum = read_u64(&mut off)? as usize;
-        let batch_idx = read_u64(&mut off)? as usize;
-        let num_batches = read_u64(&mut off)? as usize;
-        let max_batch = read_u64(&mut off)? as usize;
-        let n = read_u32(&mut off)? as usize;
-        let mut epoch_losses = Vec::with_capacity(n);
-        for _ in 0..n {
-            epoch_losses.push(f32::from_le_bytes(
-                take(&mut off, 4)?.try_into().expect("slice is 4 bytes"),
-            ));
-        }
-        let n = read_u32(&mut off)? as usize;
-        let mut batch_sizes = Vec::with_capacity(n);
-        for _ in 0..n {
-            batch_sizes.push(read_u32(&mut off)?);
-        }
-        let n = read_u32(&mut off)? as usize;
-        let mut batch_losses = Vec::with_capacity(n);
-        for _ in 0..n {
-            batch_losses.push(f32::from_le_bytes(
-                take(&mut off, 4)?.try_into().expect("slice is 4 bytes"),
-            ));
-        }
         Ok(StreamCheckpoint {
-            epoch,
-            chunk,
-            start_event,
-            model,
-            optimizer,
-            strategy,
+            epoch: r.u64()? as usize,
+            chunk: r.u64()? as usize,
+            start_event: r.u64()? as usize,
+            model: r.blob()?.to_vec(),
+            optimizer: r.blob()?.to_vec(),
+            strategy: r.blob()?.to_vec(),
             progress: CheckpointProgress {
-                loss_sum_bits,
-                event_sum,
-                batch_idx,
-                num_batches,
-                max_batch,
-                epoch_losses,
-                batch_sizes,
-                batch_losses,
+                loss_sum_bits: r.u64()?,
+                event_sum: r.u64()? as usize,
+                batch_idx: r.u64()? as usize,
+                num_batches: r.u64()? as usize,
+                max_batch: r.u64()? as usize,
+                epoch_losses: r.seq(4, |r| r.u32().map(f32::from_bits))?,
+                batch_sizes: r.seq(4, Reader::u32)?,
+                batch_losses: r.seq(4, |r| r.u32().map(f32::from_bits))?,
             },
         })
     }
@@ -312,13 +240,15 @@ impl StreamCheckpoint {
 /// The rolling event window: a contiguous slice `[win_base, loaded_end)`
 /// of the stream, plus the epoch's accumulated feature rows (features
 /// are indexed by global event id, so rows are retained for the whole
-/// epoch while events are dropped once consumed).
+/// epoch while events are dropped once consumed) and the prebuilt
+/// tables of loaded chunks not yet entered.
 struct Window {
     buf: Vec<Event>,
     win_base: usize,
     feats: EdgeFeatures,
     chunks_loaded: usize,
     peak_events: usize,
+    prebuilt: Vec<(usize, PrebuiltTable)>,
 }
 
 impl Window {
@@ -333,6 +263,7 @@ impl Window {
             },
             chunks_loaded: 0,
             peak_events: 0,
+            prebuilt: Vec::new(),
         }
     }
 
@@ -345,13 +276,11 @@ impl Window {
         self.win_base = 0;
         self.feats.clear_rows();
         self.chunks_loaded = 0;
+        self.prebuilt.clear();
     }
 
-    /// Appends one chunk from `provider`; returns its prebuilt table.
-    fn load_next(
-        &mut self,
-        provider: &mut dyn ChunkProvider,
-    ) -> Result<Option<(usize, PrebuiltTable)>, SourceError> {
+    /// Appends one chunk from `provider`, keeping its prebuilt table.
+    fn load_next(&mut self, provider: &mut dyn ChunkProvider) -> Result<(), SourceError> {
         let Some(chunk) = provider.next()? else {
             return Err(SourceError::new(format!(
                 "stream ended at event {} before the requested range",
@@ -372,7 +301,9 @@ impl Window {
         self.buf.extend_from_slice(&chunk.events);
         self.feats.push_rows(&chunk.features);
         self.peak_events = self.peak_events.max(self.buf.len());
-        Ok(chunk.prebuilt.map(|p| (chunk.index, p)))
+        self.prebuilt
+            .extend(chunk.prebuilt.map(|p| (chunk.index, p)));
+        Ok(())
     }
 
     /// Drops events below `keep_from` (already consumed and not needed
@@ -444,7 +375,6 @@ pub fn train_streaming_with_options(
 /// # Panics
 ///
 /// Panics if `cfg.epochs == 0` or the stream's training split is empty.
-#[allow(clippy::too_many_lines)]
 pub fn train_streaming_with_provider(
     model: &mut MemoryTgnn,
     meta: &StreamMeta,
@@ -453,10 +383,9 @@ pub fn train_streaming_with_provider(
     cfg: &TrainConfig,
     opts: StreamOptions,
 ) -> Result<StreamOutcome, SourceError> {
-    assert!(cfg.epochs > 0, "need at least one epoch");
+    let mut run = TrainRun::new(model, cfg);
     let n = meta.num_events;
-    let n_train = n * 70 / 100;
-    let val_end = n * 85 / 100;
+    let (n_train, val_end) = chronological_split(n);
     assert!(n_train > 0, "empty training range");
     let chunk_size = meta.chunk_size.max(1);
     let train_chunks = n_train.div_ceil(chunk_size);
@@ -468,64 +397,37 @@ pub fn train_streaming_with_provider(
             strategy.name()
         )));
     }
-    model.set_compute_threads(cfg.compute_threads.max(1));
-
-    let t_total = Instant::now();
-    let params = model.parameters();
-    let mut opt = Adam::new(params.clone(), cfg.lr);
-
-    let mut model_time = Duration::ZERO;
-    let mut measured_lookup = Duration::ZERO;
-    let mut stages = StageTimings::default();
-    let mut num_batches = 0usize;
-    let mut max_batch = 0usize;
-    let mut epoch_losses: Vec<f32> = Vec::with_capacity(cfg.epochs);
-    let mut batch_sizes: Vec<u32> = Vec::new();
-    let mut batch_losses: Vec<f32> = Vec::new();
 
     let mut window = Window::new(meta.feature_dim);
-    let mut prebuilt: Vec<(usize, PrebuiltTable)> = Vec::new();
 
-    // Resume bookkeeping: where to start, and the suspended epoch's
-    // partial accumulators.
+    // Resume bookkeeping: where to start; the tally carries the suspended
+    // epoch's partial accumulators.
     let mut start_epoch = 0usize;
-    let mut resume_setup: Option<(usize, usize, usize, f64, usize)> = None;
+    let mut resume_at: Option<(usize, usize)> = None;
     if let Some(ck) = opts.resume_from {
         strategy
             .import_state(&ck.strategy)
             .map_err(SourceError::new)?;
         model.import_state(&ck.model).map_err(SourceError::new)?;
-        opt.import_state(&ck.optimizer).map_err(SourceError::new)?;
-        let p = ck.progress;
-        num_batches = p.num_batches;
-        max_batch = p.max_batch;
-        epoch_losses = p.epoch_losses;
-        batch_sizes = p.batch_sizes;
-        batch_losses = p.batch_losses;
+        run.opt
+            .import_state(&ck.optimizer)
+            .map_err(SourceError::new)?;
+        run.tally = ck.progress;
         start_epoch = ck.epoch;
-        resume_setup = Some((
-            ck.chunk,
-            ck.start_event,
-            p.batch_idx,
-            f64::from_bits(p.loss_sum_bits),
-            p.event_sum,
-        ));
+        resume_at = Some((ck.chunk, ck.start_event));
     }
 
     let mut first_pass = true;
     for epoch in start_epoch..cfg.epochs {
         let mut start;
         let mut next_enter;
-        let mut batch_idx;
-        let mut loss_sum;
-        let mut event_sum;
-        if let Some((sk, se, bi, ls, es)) = resume_setup.take() {
+        if let Some((sk, se)) = resume_at.take() {
             // Resumed mid-epoch: skip over the already-processed chunks,
             // feeding features and replaying adjacency, without touching
             // the restored model/strategy state.
             while window.chunks_loaded < sk {
                 let loaded_from = window.loaded_end();
-                let _ = window.load_next(provider)?;
+                window.load_next(provider)?;
                 let replay_to = window.loaded_end().min(se);
                 if replay_to > loaded_from {
                     model.replay_adjacency(window.slice(loaded_from, replay_to), loaded_from);
@@ -536,28 +438,21 @@ pub fn train_streaming_with_provider(
             // suspension: load it and replay its processed prefix.
             if se > chunk_start(sk) {
                 while window.loaded_end() < se {
-                    let _ = window.load_next(provider)?;
+                    window.load_next(provider)?;
                 }
                 model.replay_adjacency(window.slice(chunk_start(sk), se), chunk_start(sk));
             }
             start = se;
             next_enter = sk;
-            batch_idx = bi;
-            loss_sum = ls;
-            event_sum = es;
         } else {
             if !first_pass {
                 provider.reset()?;
             }
             window.clear_for_epoch();
-            prebuilt.clear();
             model.reset_state();
             strategy.reset_epoch();
             start = 0;
             next_enter = 0;
-            batch_idx = 0;
-            loss_sum = 0.0f64;
-            event_sum = 0usize;
         }
         first_pass = false;
 
@@ -569,18 +464,9 @@ pub fn train_streaming_with_provider(
                         chunk: sk,
                         start_event: start,
                         model: model.export_state(),
-                        optimizer: opt.export_state(),
+                        optimizer: run.opt.export_state(),
                         strategy: strategy.export_state(),
-                        progress: CheckpointProgress {
-                            loss_sum_bits: loss_sum.to_bits(),
-                            event_sum,
-                            batch_idx,
-                            num_batches,
-                            max_batch,
-                            epoch_losses: epoch_losses.clone(),
-                            batch_sizes: batch_sizes.clone(),
-                            batch_losses: batch_losses.clone(),
-                        },
+                        progress: run.tally,
                     })));
                 }
             }
@@ -590,14 +476,13 @@ pub fn train_streaming_with_provider(
                 let cs = chunk_start(next_enter);
                 let ce = (cs + chunk_size).min(n);
                 while window.chunks_loaded <= next_enter {
-                    if let Some(pb) = window.load_next(provider)? {
-                        prebuilt.push(pb);
-                    }
+                    window.load_next(provider)?;
                 }
-                let table = prebuilt
+                let table = window
+                    .prebuilt
                     .iter()
                     .position(|(idx, _)| *idx == next_enter)
-                    .map(|at| prebuilt.swap_remove(at).1);
+                    .map(|at| window.prebuilt.swap_remove(at).1);
                 // The last training chunk is entered truncated at the
                 // split boundary; the window keeps the full chunk for
                 // the validation pass.
@@ -605,60 +490,24 @@ pub fn train_streaming_with_provider(
                 next_enter += 1;
             }
 
-            let t0 = Instant::now();
-            let end = strategy.next_batch_end(start, n_train);
-            let scan_elapsed = t0.elapsed();
-            measured_lookup += scan_elapsed;
-            stages.scan.record(scan_elapsed);
+            let end = run.scan(|| strategy.next_batch_end(start, n_train));
             debug_assert!(end > start && end <= n_train);
 
             // A fixed-size batch can straddle into a chunk that is not
             // entered yet; its events must still be resident.
             let t_load = Instant::now();
             while window.loaded_end() < end {
-                if let Some(pb) = window.load_next(provider)? {
-                    prebuilt.push(pb);
-                }
+                window.load_next(provider)?;
             }
-            stages.scan.stall += t_load.elapsed();
+            run.stages.scan.stall += t_load.elapsed();
 
-            let t1 = Instant::now();
-            if cfg.scale_lr_with_batch {
-                let scale = ((end - start) as f32 / cfg.eval_batch_size as f32).sqrt();
-                opt.set_lr(cfg.lr * scale);
-            }
-            let fwd = model.forward_batch(window.slice(start, end), start, &window.feats);
-            let loss = fwd.loss.item();
-            fwd.loss.backward();
-            if let Some(c) = cfg.clip_norm {
-                clip_grad_norm(&params, c);
-            }
-            opt.step();
-            let compute_elapsed = t1.elapsed();
-            stages.compute.record(compute_elapsed);
-            stages.record_shards(&fwd.shard_busy, cfg.compute_threads.max(1));
-
-            let t2 = Instant::now();
-            let deltas =
-                model.apply_batch(window.slice(start, end), start, &window.feats, fwd.pending);
-            let update_elapsed = t2.elapsed();
-            stages.update.record(update_elapsed);
-            model_time += compute_elapsed + update_elapsed;
-
-            // Batch boundary: trim the arena to its steady-state set.
-            cascade_tensor::arena::reset();
-
-            strategy.after_batch(batch_idx, loss);
-            strategy.observe_updates(&deltas);
-
-            let size = end - start;
-            batch_sizes.push(size as u32);
-            batch_losses.push(loss);
-            loss_sum += loss as f64 * size as f64;
-            event_sum += size;
-            max_batch = max_batch.max(size);
-            num_batches += 1;
-            batch_idx += 1;
+            run.step(
+                model,
+                strategy,
+                window.slice(start, end),
+                start,
+                &window.feats,
+            );
             start = end;
 
             // Consumed events are dropped; events of a chunk that was
@@ -671,111 +520,115 @@ pub fn train_streaming_with_provider(
             };
             window.drop_below(start.min(next_chunk_at));
         }
-        epoch_losses.push((loss_sum / event_sum.max(1) as f64) as f32);
+        run.tally.end_epoch();
     }
 
-    let total_time = t_total.elapsed();
+    let total_time = run.elapsed();
 
-    // Same latency model as the in-memory trainer (see `train`): charge
-    // the simulated per-batch accelerator overhead, credit back
-    // background table builds bounded by the non-stall portion.
-    let events_processed = (n_train * cfg.epochs) as f64;
-    let per_event = model_time.as_secs_f64() / events_processed.max(1.0);
-    let overhead =
-        Duration::from_secs_f64(per_event * cfg.sim_batch_overhead_events * num_batches as f64);
-    let background = strategy.timers().background_build;
-    let stall = strategy.timers().build_table;
-    let overlap_credit = background.saturating_sub(stall).min(total_time / 2);
-    let modeled_time = (total_time + overhead).saturating_sub(overlap_credit);
-
-    // Validation: continue the rolling window past the training split,
-    // replicating `evaluate_range` at the fixed evaluation batch size.
-    let val = {
-        if n_train >= val_end {
-            EvalReport {
-                loss: f32::NAN,
-                average_precision: f32::NAN,
-                accuracy: f32::NAN,
-            }
-        } else {
-            let mut start = n_train;
-            let mut loss_sum = 0.0f64;
-            let mut count = 0usize;
-            let mut logits = Vec::new();
-            let mut labels = Vec::new();
-            while start < val_end {
-                let end = (start + cfg.eval_batch_size).min(val_end);
-                while window.loaded_end() < end {
-                    let _ = window.load_next(provider)?;
-                }
-                let out = model.process_batch(window.slice(start, end), start, &window.feats);
-                loss_sum += out.loss.item() as f64 * (end - start) as f64;
-                count += end - start;
-                labels.extend(std::iter::repeat_n(1.0, out.pos_logits.len()));
-                logits.extend(out.pos_logits);
-                labels.extend(std::iter::repeat_n(0.0, out.neg_logits.len()));
-                logits.extend(out.neg_logits);
-                start = end;
-                window.drop_below(start);
-            }
-            EvalReport {
-                loss: (loss_sum / count as f64) as f32,
-                average_precision: average_precision(&logits, &labels),
-                accuracy: binary_accuracy(&logits, &labels),
-            }
+    // Validation: continue the rolling window past the training split at
+    // the fixed evaluation batch size.
+    let mut val = EvalAccumulator::default();
+    let mut start = n_train;
+    while start < val_end {
+        let end = (start + cfg.eval_batch_size).min(val_end);
+        while window.loaded_end() < end {
+            window.load_next(provider)?;
         }
-    };
+        val.add(model, window.slice(start, end), start, &window.feats);
+        start = end;
+        window.drop_below(start);
+    }
 
-    let timers = strategy.timers();
-    let build_time = timers.build_table;
-    let lookup_time = if timers.lookup > Duration::ZERO {
-        timers.lookup
-    } else {
-        measured_lookup
-    };
-
-    let strat_space = strategy.space();
-    let space = SpaceBreakdown {
-        dependency_table: strat_space.dependency_bytes,
-        stable_flags: strat_space.flag_bytes,
-        // Out-of-core: the graph term is the peak resident window, not
-        // the full stream (the headline saving of streaming training).
-        graph: window.peak_events * std::mem::size_of::<Event>(),
-        edge_features: window.feats.size_bytes(),
-        model: model.parameter_count() * std::mem::size_of::<f32>(),
-        mailbox: model.mailbox_size_bytes(),
-        memory: model.memory_size_bytes(),
-        plane_shards: model.plane().num_shards(),
-    };
-
-    Ok(StreamOutcome::Completed(Box::new(TrainReport {
-        strategy: strategy.name(),
-        model: model.name().to_string(),
-        dataset: meta.name.clone(),
-        epochs: cfg.epochs,
-        total_time,
-        modeled_time,
-        build_time,
-        lookup_time,
-        model_time,
-        num_batches,
-        avg_batch_size: (n_train * cfg.epochs) as f64 / num_batches.max(1) as f64,
-        max_batch_size: max_batch,
-        final_train_loss: *epoch_losses.last().unwrap_or(&f32::NAN),
-        val_loss: val.loss,
-        val_ap: val.average_precision,
-        val_accuracy: val.accuracy,
-        epoch_losses,
-        batch_sizes,
-        batch_losses,
-        space,
-        stages,
-    })))
+    let report = run.finish(
+        model,
+        strategy,
+        RunFacts {
+            dataset: meta.name.clone(),
+            train_events: n_train,
+            total_time,
+            val: val.finish(),
+            // Out-of-core: the graph term is the peak resident window,
+            // not the full stream (the headline saving of streaming).
+            graph_bytes: window.peak_events * std::mem::size_of::<Event>(),
+            feature_bytes: window.feats.size_bytes(),
+            // The streaming strategies time their chunk builds
+            // themselves; there is no separate prepare pass.
+            prepare: Duration::ZERO,
+        },
+    );
+    Ok(StreamOutcome::Completed(Box::new(report)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cascade_util::{check, prop_assert, Gen};
+
+    fn random_checkpoint(g: &mut Gen) -> StreamCheckpoint {
+        let blob = |g: &mut Gen| {
+            let len = g.usize_in(0..16);
+            g.vec_usize(len, 0..256)
+                .into_iter()
+                .map(|b| b as u8)
+                .collect()
+        };
+        let (model, optimizer, strategy) = (blob(g), blob(g), blob(g));
+        let (epochs, batches) = (g.usize_in(0..4), g.usize_in(0..8));
+        StreamCheckpoint {
+            epoch: g.usize_in(0..5),
+            chunk: g.usize_in(0..50),
+            start_event: g.usize_in(0..10_000),
+            model,
+            optimizer,
+            strategy,
+            progress: CheckpointProgress {
+                loss_sum_bits: g.u64(),
+                event_sum: g.usize_in(0..10_000),
+                batch_idx: g.usize_in(0..100),
+                num_batches: g.usize_in(0..1000),
+                max_batch: g.usize_in(0..5000),
+                epoch_losses: g.vec_f32(epochs, 0.0..1.0),
+                batch_sizes: g
+                    .vec_usize(batches, 1..5000)
+                    .iter()
+                    .map(|&b| b as u32)
+                    .collect(),
+                batch_losses: g.vec_f32(batches, 0.0..1.0),
+            },
+        }
+    }
+
+    #[test]
+    fn mutated_checkpoints_decode_to_an_error_or_a_valid_checkpoint() {
+        let valid = StreamCheckpoint {
+            epoch: 0,
+            chunk: 0,
+            start_event: 0,
+            model: vec![],
+            optimizer: vec![],
+            strategy: vec![],
+            progress: CheckpointProgress::default(),
+        }
+        .to_bytes();
+        // A u64::MAX model-blob length and a u32::MAX epoch-loss count
+        // must be truncation errors, not an overflow or a huge allocation.
+        for (at, width) in [(29, 8), (93, 4)] {
+            let mut forged = valid.clone();
+            forged[at..at + width].copy_from_slice(&u64::MAX.to_le_bytes()[..width]);
+            assert!(StreamCheckpoint::from_bytes(&forged).is_err());
+        }
+        check("checkpoint_mutations", |g| {
+            let valid = random_checkpoint(g).to_bytes();
+            let bytes = g.mutate_bytes(valid);
+            if let Ok(ck) = StreamCheckpoint::from_bytes(&bytes) {
+                let again = ck.to_bytes();
+                prop_assert!(again.len() <= bytes.len(), "decoded beyond the input");
+                let reread = StreamCheckpoint::from_bytes(&again).map(|c| c.to_bytes());
+                prop_assert!(reread == Ok(again), "decoded checkpoint does not roundtrip");
+            }
+            Ok(())
+        });
+    }
 
     #[test]
     fn checkpoint_roundtrips_through_bytes() {

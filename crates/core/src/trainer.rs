@@ -4,9 +4,10 @@
 // cascade-lint: allow-file(det-wallclock): stage timings land in EpochReport/StageTimings telemetry only; no Duration ever feeds batching, scheduling, or learning decisions.
 use std::time::{Duration, Instant};
 
-use cascade_models::{MemoryDelta, MemoryTgnn};
+use cascade_models::{BatchForward, MemoryDelta, MemoryTgnn};
 use cascade_nn::{average_precision, binary_accuracy, clip_grad_norm, Adam, Module};
-use cascade_tgraph::Dataset;
+use cascade_tensor::{AutogradError, Tensor};
+use cascade_tgraph::{Dataset, EdgeFeatures, Event};
 
 use crate::batching::BatchingStrategy;
 use crate::instrument::{SpaceBreakdown, StageTimings};
@@ -150,160 +151,351 @@ pub fn train_with_observer(
     cfg: &TrainConfig,
     observer: &mut dyn FnMut(usize, &[MemoryDelta]),
 ) -> TrainReport {
-    assert!(cfg.epochs > 0, "need at least one epoch");
-    model.set_compute_threads(cfg.compute_threads.max(1));
+    let mut run = TrainRun::new(model, cfg);
     let train_range = data.train_range();
     assert!(!train_range.is_empty(), "empty training range");
     let events = data.stream().events();
     let n_train = train_range.end;
 
-    let t_total = Instant::now();
-
     // Preprocessing (dependency tables, profiling).
     let t_prep = Instant::now();
-    strategy.prepare(&events[train_range.clone()], data.num_nodes());
-    let measured_prepare = t_prep.elapsed();
-
-    let params = model.parameters();
-    let mut opt = Adam::new(params.clone(), cfg.lr);
-
-    let mut model_time = Duration::ZERO;
-    let mut measured_lookup = Duration::ZERO;
-    let mut stages = StageTimings::default();
-    let mut num_batches = 0usize;
-    let mut max_batch = 0usize;
-    let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-    let mut batch_sizes: Vec<u32> = Vec::new();
-    let mut batch_losses: Vec<f32> = Vec::new();
+    strategy.prepare(&events[train_range], data.num_nodes());
+    let prepare = t_prep.elapsed();
 
     for epoch in 0..cfg.epochs {
         model.reset_state();
         strategy.reset_epoch();
-
         let mut start = 0usize;
-        let mut batch_idx = 0usize;
-        let mut loss_sum = 0.0f64;
-        let mut event_sum = 0usize;
         while start < n_train {
-            let t0 = Instant::now();
-            let end = strategy.next_batch_end(start, n_train);
-            let scan_elapsed = t0.elapsed();
-            measured_lookup += scan_elapsed;
-            stages.scan.record(scan_elapsed);
+            let end = run.scan(|| strategy.next_batch_end(start, n_train));
             debug_assert!(end > start && end <= n_train);
-
-            let t1 = Instant::now();
-            if cfg.scale_lr_with_batch {
-                let scale = ((end - start) as f32 / cfg.eval_batch_size as f32).sqrt();
-                opt.set_lr(cfg.lr * scale);
-            }
-            let fwd = model.forward_batch(&events[start..end], start, data.features());
-            let loss = fwd.loss.item();
-            fwd.loss.backward();
-            if let Some(c) = cfg.clip_norm {
-                clip_grad_norm(&params, c);
-            }
-            opt.step();
-            let compute_elapsed = t1.elapsed();
-            stages.compute.record(compute_elapsed);
-            stages.record_shards(&fwd.shard_busy, cfg.compute_threads.max(1));
-
-            let t2 = Instant::now();
-            let deltas =
-                model.apply_batch(&events[start..end], start, data.features(), fwd.pending);
-            let update_elapsed = t2.elapsed();
-            stages.update.record(update_elapsed);
-            model_time += compute_elapsed + update_elapsed;
-
-            // Batch boundary: the graph is dropped and its buffers are back
-            // in the arena; trim the pool to its steady-state working set.
-            cascade_tensor::arena::reset();
-
-            strategy.after_batch(batch_idx, loss);
-            strategy.observe_updates(&deltas);
+            let deltas = run.step(model, strategy, &events[start..end], start, data.features());
             observer(epoch, &deltas);
-
-            let size = end - start;
-            batch_sizes.push(size as u32);
-            batch_losses.push(loss);
-            loss_sum += loss as f64 * size as f64;
-            event_sum += size;
-            max_batch = max_batch.max(size);
-            num_batches += 1;
-            batch_idx += 1;
             start = end;
         }
-        epoch_losses.push((loss_sum / event_sum.max(1) as f64) as f32);
+        run.tally.end_epoch();
+    }
+    run.finish_in_memory(model, strategy, data, prepare)
+}
+
+/// The report accumulators of a training run — the tally every loop
+/// keeps — and what a streaming checkpoint carries so the resumed run's
+/// [`TrainReport`] matches the uninterrupted one.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct CheckpointProgress {
+    /// Bit pattern of the current epoch's running loss sum.
+    pub loss_sum_bits: u64,
+    /// Events processed in the current epoch.
+    pub event_sum: usize,
+    /// Batches processed in the current epoch.
+    pub batch_idx: usize,
+    /// Batches processed across all epochs so far.
+    pub num_batches: usize,
+    /// Largest batch seen so far.
+    pub max_batch: usize,
+    /// Mean losses of completed epochs.
+    pub epoch_losses: Vec<f32>,
+    /// Sizes of every batch so far.
+    pub batch_sizes: Vec<u32>,
+    /// Losses of every batch so far.
+    pub batch_losses: Vec<f32>,
+}
+
+impl CheckpointProgress {
+    /// Tallies one trained batch of `size` events.
+    pub(crate) fn record(&mut self, size: usize, loss: f32) {
+        let loss_sum = f64::from_bits(self.loss_sum_bits) + loss as f64 * size as f64;
+        self.loss_sum_bits = loss_sum.to_bits();
+        self.event_sum += size;
+        self.batch_idx += 1;
+        self.num_batches += 1;
+        self.max_batch = self.max_batch.max(size);
+        self.batch_sizes.push(size as u32);
+        self.batch_losses.push(loss);
     }
 
-    let total_time = t_total.elapsed();
+    /// Closes the current epoch: records its event-weighted mean loss and
+    /// zeroes the per-epoch accumulators.
+    pub fn end_epoch(&mut self) {
+        let mean = f64::from_bits(self.loss_sum_bits) / self.event_sum.max(1) as f64;
+        self.epoch_losses.push(mean as f32);
+        self.loss_sum_bits = 0.0f64.to_bits();
+        self.event_sum = 0;
+        self.batch_idx = 0;
+    }
+}
 
-    // Simulated accelerator: charge each batch the configured number of
-    // event-equivalents of measured per-event model compute.
-    let events_processed = (n_train * cfg.epochs) as f64;
-    let per_event = model_time.as_secs_f64() / events_processed.max(1.0);
-    let overhead =
-        Duration::from_secs_f64(per_event * cfg.sim_batch_overhead_events * num_batches as f64);
-    // Pipelined background table building shares this test machine's one
-    // core with training (inflating measured time), but runs on otherwise
-    // idle CPU in the modeled CPU-preprocess/GPU-train deployment: credit
-    // it back, bounded by the non-stall portion of the run.
-    let background = strategy.timers().background_build;
-    let stall = strategy.timers().build_table;
-    let overlap_credit = background.saturating_sub(stall).min(total_time / 2);
-    let modeled_time = (total_time + overhead).saturating_sub(overlap_credit);
+/// What differs between the training loops' reports, handed to
+/// [`TrainRun::finish`].
+#[derive(Clone, Debug)]
+pub(crate) struct RunFacts {
+    /// Dataset (or source) name.
+    pub(crate) dataset: String,
+    /// Training events per epoch.
+    pub(crate) train_events: usize,
+    /// Wall-clock from [`TrainRun::new`] to the end of the last epoch
+    /// ([`TrainRun::elapsed`], read before validation).
+    pub(crate) total_time: Duration,
+    /// Validation result.
+    pub(crate) val: EvalReport,
+    /// Resident event bytes ([`SpaceBreakdown::graph`]).
+    pub(crate) graph_bytes: usize,
+    /// Resident edge-feature bytes.
+    pub(crate) feature_bytes: usize,
+    /// Measured `prepare` time, the build-time fallback when the strategy
+    /// keeps no build timer.
+    pub(crate) prepare: Duration,
+}
 
-    // Validation at the fixed evaluation batch size, memory carried over
-    // from the final training epoch, no weight updates.
-    let val = evaluate(model, data, cfg.eval_batch_size);
+/// What [`TrainRun::compute`] hands to [`TrainRun::apply`]: the batch's
+/// loss and its forward pass, whose write-back ticket `apply` consumes.
+pub struct ComputedBatch {
+    /// The batch's training loss.
+    pub loss: f32,
+    fwd: BatchForward,
+}
 
-    // Prefer the strategy's fine-grained timers when available.
-    let timers = strategy.timers();
-    let build_time = if timers.build_table > Duration::ZERO {
-        timers.build_table
-    } else {
-        measured_prepare
-    };
-    let lookup_time = if timers.lookup > Duration::ZERO {
-        timers.lookup
-    } else {
-        measured_lookup
-    };
+/// One training run's batch step, tally and report: the optimizer over
+/// the model's parameters, the per-stage timings, and the
+/// [`CheckpointProgress`] tally. Every single-process loop — [`train`],
+/// the streaming driver and `cascade-exec`'s pipelined executor — runs
+/// its batches through [`compute`](TrainRun::compute) and
+/// [`apply`](TrainRun::apply) and builds its report with the same
+/// epilogue, so they cannot drift apart; each loop keeps only its own
+/// scheduling.
+pub struct TrainRun {
+    cfg: TrainConfig,
+    params: Vec<Tensor>,
+    pub(crate) opt: Adam,
+    started: Instant,
+    /// Per-stage telemetry. Compute and update are recorded by the step;
+    /// callers add stalls and own the scan stage's accounting.
+    pub stages: StageTimings,
+    /// The run tally.
+    pub tally: CheckpointProgress,
+}
 
-    let strat_space = strategy.space();
-    let space = SpaceBreakdown {
-        dependency_table: strat_space.dependency_bytes,
-        stable_flags: strat_space.flag_bytes,
-        graph: std::mem::size_of_val(events),
-        edge_features: data.features().size_bytes(),
-        model: model.parameter_count() * std::mem::size_of::<f32>(),
-        mailbox: model.mailbox_size_bytes(),
-        memory: model.memory_size_bytes(),
-        plane_shards: model.plane().num_shards(),
-    };
+impl TrainRun {
+    /// Starts the run clock, sets the model's compute threads and builds
+    /// Adam over its parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.epochs == 0`.
+    pub fn new(model: &mut MemoryTgnn, cfg: &TrainConfig) -> Self {
+        assert!(cfg.epochs > 0, "need at least one epoch");
+        model.set_compute_threads(cfg.compute_threads.max(1));
+        let params = model.parameters();
+        TrainRun {
+            cfg: cfg.clone(),
+            opt: Adam::new(params.clone(), cfg.lr),
+            params,
+            started: Instant::now(),
+            stages: StageTimings::default(),
+            tally: CheckpointProgress::default(),
+        }
+    }
 
-    TrainReport {
-        strategy: strategy.name(),
-        model: model.name().to_string(),
-        dataset: data.name().to_string(),
-        epochs: cfg.epochs,
-        total_time,
-        modeled_time,
-        build_time,
-        lookup_time,
-        model_time,
-        num_batches,
-        avg_batch_size: (n_train * cfg.epochs) as f64 / num_batches.max(1) as f64,
-        max_batch_size: max_batch,
-        final_train_loss: *epoch_losses.last().unwrap_or(&f32::NAN),
-        val_loss: val.loss,
-        val_ap: val.average_precision,
-        val_accuracy: val.accuracy,
-        epoch_losses,
-        batch_sizes,
-        batch_losses,
-        space,
-        stages,
+    /// Wall-clock since [`TrainRun::new`].
+    pub(crate) fn elapsed(&self) -> Duration {
+        self.started.elapsed()
+    }
+
+    /// Runs a batch-boundary scan, timing it as one scan-stage item.
+    pub(crate) fn scan<T>(&mut self, scan: impl FnOnce() -> T) -> T {
+        let t0 = Instant::now();
+        let out = scan();
+        self.stages.scan.record(t0.elapsed());
+        out
+    }
+
+    /// Stage B: learning-rate scaling, forward, loss, backward, gradient
+    /// clip and optimizer step over the batch `events` (global ids from
+    /// `first_id`).
+    ///
+    /// # Errors
+    ///
+    /// Returns the backward pass's [`AutogradError`]; the optimizer has
+    /// not stepped then.
+    pub fn compute(
+        &mut self,
+        model: &MemoryTgnn,
+        events: &[Event],
+        first_id: usize,
+        feats: &EdgeFeatures,
+    ) -> Result<ComputedBatch, AutogradError> {
+        let t0 = Instant::now();
+        if self.cfg.scale_lr_with_batch {
+            let scale = (events.len() as f32 / self.cfg.eval_batch_size as f32).sqrt();
+            self.opt.set_lr(self.cfg.lr * scale);
+        }
+        let fwd = model.forward_batch(events, first_id, feats);
+        let loss = fwd.loss.item();
+        fwd.loss.try_backward()?;
+        if let Some(c) = self.cfg.clip_norm {
+            clip_grad_norm(&self.params, c);
+        }
+        self.opt.step();
+        self.stages.compute.record(t0.elapsed());
+        let threads = self.cfg.compute_threads.max(1);
+        self.stages.record_shards(&fwd.shard_busy, threads);
+        Ok(ComputedBatch { loss, fwd })
+    }
+
+    /// Stage C: memory write-back, messages and adjacency for the batch
+    /// `compute` stepped on; then the batch boundary — the arena is
+    /// trimmed and the batch tallied. Returns the memory transitions.
+    pub fn apply(
+        &mut self,
+        model: &mut MemoryTgnn,
+        events: &[Event],
+        first_id: usize,
+        feats: &EdgeFeatures,
+        batch: ComputedBatch,
+    ) -> Vec<MemoryDelta> {
+        let t0 = Instant::now();
+        let deltas = model.apply_batch(events, first_id, feats, batch.fwd.pending);
+        self.stages.update.record(t0.elapsed());
+        // Batch boundary: backward and the optimizer step are done with
+        // the batch's buffers; trim the pool to its steady-state working
+        // set.
+        cascade_tensor::arena::reset();
+        self.tally.record(events.len(), batch.loss);
+        deltas
+    }
+
+    /// The serial batch step: [`compute`](TrainRun::compute), then
+    /// [`apply`](TrainRun::apply), then the strategy's loss and memory
+    /// feedback (ABS, SG-Filter).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an autograd error, with the message
+    /// [`Tensor::backward`] gives.
+    pub(crate) fn step(
+        &mut self,
+        model: &mut MemoryTgnn,
+        strategy: &mut dyn BatchingStrategy,
+        events: &[Event],
+        first_id: usize,
+        feats: &EdgeFeatures,
+    ) -> Vec<MemoryDelta> {
+        let batch_idx = self.tally.batch_idx;
+        let batch = self
+            .compute(model, events, first_id, feats)
+            // cascade-lint: allow(panic-macro): the serial loops panic on a malformed loss graph exactly as Tensor::backward does
+            .unwrap_or_else(|e| panic!("{e}"));
+        let loss = batch.loss;
+        let deltas = self.apply(model, events, first_id, feats, batch);
+        strategy.after_batch(batch_idx, loss);
+        strategy.observe_updates(&deltas);
+        deltas
+    }
+
+    /// The report of a run over the in-memory `data`: stops the clock,
+    /// validates at the fixed evaluation batch size (memory carried over
+    /// from the final training epoch, no weight updates) and reports the
+    /// whole stream as resident.
+    pub fn finish_in_memory(
+        self,
+        model: &mut MemoryTgnn,
+        strategy: &dyn BatchingStrategy,
+        data: &Dataset,
+        prepare: Duration,
+    ) -> TrainReport {
+        let total_time = self.elapsed();
+        let val = evaluate(model, data, self.cfg.eval_batch_size);
+        let facts = RunFacts {
+            dataset: data.name().to_string(),
+            train_events: data.train_range().end,
+            total_time,
+            val,
+            graph_bytes: std::mem::size_of_val(data.stream().events()),
+            feature_bytes: data.features().size_bytes(),
+            prepare,
+        };
+        self.finish(model, strategy, facts)
+    }
+
+    /// Builds the run's report: modeled latency, build/lookup timers and
+    /// space accounting from the run's stages and tally, the trained
+    /// strategy's timers and space, and `facts`.
+    pub(crate) fn finish(
+        self,
+        model: &MemoryTgnn,
+        strategy: &dyn BatchingStrategy,
+        facts: RunFacts,
+    ) -> TrainReport {
+        let epochs = self.cfg.epochs;
+        let events = facts.train_events * epochs;
+        let total_time = facts.total_time;
+        let model_time = self.stages.compute.busy + self.stages.update.busy;
+        let tally = self.tally;
+
+        // Simulated accelerator: charge each batch the configured number
+        // of event-equivalents of measured per-event model compute.
+        let per_event = model_time.as_secs_f64() / (events as f64).max(1.0);
+        let overhead = Duration::from_secs_f64(
+            per_event * self.cfg.sim_batch_overhead_events * tally.num_batches as f64,
+        );
+        // Pipelined background table building shares this test machine's
+        // one core with training (inflating measured time), but runs on
+        // otherwise idle CPU in the modeled CPU-preprocess/GPU-train
+        // deployment: credit it back, bounded by the non-stall portion.
+        let timers = strategy.timers();
+        let background = timers.background_build;
+        let overlap_credit = background
+            .saturating_sub(timers.build_table)
+            .min(total_time / 2);
+        let modeled_time = (total_time + overhead).saturating_sub(overlap_credit);
+
+        // Prefer the strategy's fine-grained timers when available.
+        let build_time = if timers.build_table > Duration::ZERO {
+            timers.build_table
+        } else {
+            facts.prepare
+        };
+        let lookup_time = if timers.lookup > Duration::ZERO {
+            timers.lookup
+        } else {
+            self.stages.scan.busy
+        };
+
+        let strategy_space = strategy.space();
+        let space = SpaceBreakdown {
+            dependency_table: strategy_space.dependency_bytes,
+            stable_flags: strategy_space.flag_bytes,
+            graph: facts.graph_bytes,
+            edge_features: facts.feature_bytes,
+            model: model.parameter_count() * std::mem::size_of::<f32>(),
+            mailbox: model.mailbox_size_bytes(),
+            memory: model.memory_size_bytes(),
+            plane_shards: model.plane().num_shards(),
+        };
+
+        TrainReport {
+            strategy: strategy.name(),
+            model: model.name().to_string(),
+            dataset: facts.dataset,
+            epochs,
+            total_time,
+            modeled_time,
+            build_time,
+            lookup_time,
+            model_time,
+            num_batches: tally.num_batches,
+            avg_batch_size: events as f64 / tally.num_batches.max(1) as f64,
+            max_batch_size: tally.max_batch,
+            final_train_loss: *tally.epoch_losses.last().unwrap_or(&f32::NAN),
+            val_loss: facts.val.loss,
+            val_ap: facts.val.average_precision,
+            val_accuracy: facts.val.accuracy,
+            epoch_losses: tally.epoch_losses,
+            batch_sizes: tally.batch_sizes,
+            batch_losses: tally.batch_losses,
+            space,
+            stages: self.stages,
+        }
     }
 }
 
@@ -342,34 +534,60 @@ pub fn evaluate_range(
     batch_size: usize,
 ) -> EvalReport {
     assert!(batch_size > 0, "eval batch size must be positive");
-    if range.is_empty() {
-        return EvalReport {
-            loss: f32::NAN,
-            average_precision: f32::NAN,
-            accuracy: f32::NAN,
-        };
-    }
     let events = data.stream().events();
-    let mut start = range.start;
-    let mut loss_sum = 0.0f64;
-    let mut n = 0usize;
-    let mut logits = Vec::new();
-    let mut labels = Vec::new();
-    while start < range.end {
+    let mut acc = EvalAccumulator::default();
+    for start in range.clone().step_by(batch_size) {
         let end = (start + batch_size).min(range.end);
-        let out = model.process_batch(&events[start..end], start, data.features());
-        loss_sum += out.loss.item() as f64 * (end - start) as f64;
-        n += end - start;
-        labels.extend(std::iter::repeat_n(1.0, out.pos_logits.len()));
-        logits.extend(out.pos_logits);
-        labels.extend(std::iter::repeat_n(0.0, out.neg_logits.len()));
-        logits.extend(out.neg_logits);
-        start = end;
+        acc.add(model, &events[start..end], start, data.features());
     }
-    EvalReport {
-        loss: (loss_sum / n as f64) as f32,
-        average_precision: average_precision(&logits, &labels),
-        accuracy: binary_accuracy(&logits, &labels),
+    acc.finish()
+}
+
+/// Evaluation metrics accumulated over consecutive batches; memories
+/// advance, weights do not. Shared by [`evaluate_range`] and the
+/// streaming driver's validation pass.
+#[derive(Default)]
+pub(crate) struct EvalAccumulator {
+    loss_sum: f64,
+    events: usize,
+    logits: Vec<f32>,
+    labels: Vec<f32>,
+}
+
+impl EvalAccumulator {
+    /// Evaluates one batch (global ids from `first_id`).
+    pub(crate) fn add(
+        &mut self,
+        model: &mut MemoryTgnn,
+        events: &[Event],
+        first_id: usize,
+        feats: &EdgeFeatures,
+    ) {
+        let out = model.process_batch(events, first_id, feats);
+        self.loss_sum += out.loss.item() as f64 * events.len() as f64;
+        self.events += events.len();
+        self.labels
+            .extend(std::iter::repeat_n(1.0, out.pos_logits.len()));
+        self.logits.extend(out.pos_logits);
+        self.labels
+            .extend(std::iter::repeat_n(0.0, out.neg_logits.len()));
+        self.logits.extend(out.neg_logits);
+    }
+
+    /// The metrics over every batch added; `NaN` when none was.
+    pub(crate) fn finish(self) -> EvalReport {
+        if self.events == 0 {
+            return EvalReport {
+                loss: f32::NAN,
+                average_precision: f32::NAN,
+                accuracy: f32::NAN,
+            };
+        }
+        EvalReport {
+            loss: (self.loss_sum / self.events as f64) as f32,
+            average_precision: average_precision(&self.logits, &self.labels),
+            accuracy: binary_accuracy(&self.logits, &self.labels),
+        }
     }
 }
 

@@ -22,7 +22,10 @@
 //! of the configuration (no dependence on thread timing). At
 //! `staleness_bound = 0` the schedule degenerates to the serial trainer's
 //! scan → compute → update → feedback order and the run is bit-identical
-//! to [`cascade_core::train`].
+//! to [`cascade_core::train`]: the driver runs stages B and C through the
+//! serial trainer's own batch step ([`TrainRun::compute`] and
+//! [`TrainRun::apply`]), so only the order of the calls can differ, and
+//! its report comes from the same [`TrainRun::finish_in_memory`].
 //!
 //! Shutdown is panic-safe by construction: each side only ever blocks on
 //! a channel whose other end is owned by the peer, so when either side
@@ -36,12 +39,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
 
-use cascade_core::{
-    evaluate, BatchingStrategy, SpaceBreakdown, StageTiming, StageTimings, StrategySpace,
-    StrategyTimers, TrainConfig, TrainReport,
-};
+use cascade_core::{BatchingStrategy, StageTiming, TrainConfig, TrainReport, TrainRun};
 use cascade_models::{MemoryDelta, MemoryTgnn};
-use cascade_nn::{clip_grad_norm, Adam, Module};
 use cascade_tgraph::Dataset;
 
 /// Overlap policy of the pipelined executor.
@@ -165,23 +164,23 @@ struct Feedback {
     deltas: Vec<MemoryDelta>,
 }
 
-/// What the scout hands back when it retires (it owns the strategy for
-/// the whole run, so strategy-derived accounting must travel with it).
+/// What the scout hands back when it retires: its own stage timing and
+/// the strategy's `prepare` time.
 struct ScoutReport {
     scan: StageTiming,
     prepare: Duration,
-    timers: StrategyTimers,
-    space: StrategySpace,
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
+/// A panic in `stage`, reported with its payload's message.
+fn stage_panic(stage: PipelineStage, payload: Box<dyn std::any::Any + Send>) -> PipelineError {
+    let message = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "stage panicked".to_string()
-    }
+    };
+    PipelineError { stage, message }
 }
 
 /// Trains `model` on `data`'s training range with the three-stage
@@ -214,8 +213,7 @@ pub fn train_pipelined(
     cfg: &TrainConfig,
     pcfg: &PipelineConfig,
 ) -> Result<TrainReport, PipelineError> {
-    assert!(cfg.epochs > 0, "need at least one epoch");
-    model.set_compute_threads(cfg.compute_threads.max(1));
+    let mut run = TrainRun::new(model, cfg);
     let train_range = data.train_range();
     assert!(!train_range.is_empty(), "empty training range");
     let events = data.stream().events();
@@ -224,24 +222,6 @@ pub fn train_pipelined(
     let epochs = cfg.epochs;
     let staleness = pcfg.effective_staleness();
     let depth = pcfg.depth.max(1);
-    let strategy_name = strategy.name();
-
-    let t_total = Instant::now();
-
-    let params = model.parameters();
-    let mut opt = Adam::new(params.clone(), cfg.lr);
-
-    // Driver-side bookkeeping (mirrors the serial trainer).
-    let mut stage_b = StageTiming::default();
-    let mut stage_c = StageTiming::default();
-    // Per-shard sub-division of stage B (collects via record_shards; its
-    // shard_compute vector lands in the final report's StageTimings).
-    let mut shard_t = StageTimings::default();
-    let mut num_batches = 0usize;
-    let mut max_batch = 0usize;
-    let mut epoch_losses: Vec<f32> = Vec::with_capacity(epochs);
-    let mut batch_sizes: Vec<u32> = Vec::new();
-    let mut batch_losses: Vec<f32> = Vec::new();
 
     let scout_outcome = std::thread::scope(|s| {
         // Plans prefetch up to `depth` ahead; the feedback queue is sized
@@ -262,14 +242,19 @@ pub fn train_pipelined(
             // within `staleness` before every scan, which fixes the
             // feedback-consumption schedule independently of timing.
             let mut in_flight = 0usize;
-            for _epoch in 0..epochs {
+            for epoch in 0..epochs {
                 // The scout drains the feedback queue at every epoch end,
                 // so by this point the whole previous epoch is absorbed.
                 strategy.reset_epoch();
                 let mut start = 0usize;
                 let mut batch_idx = 0usize;
-                while start < n_train {
-                    while in_flight > staleness {
+                loop {
+                    // At the epoch barrier, absorb the rest of the epoch's
+                    // feedback so SG-Filter/ABS resets see a fully
+                    // observed epoch (and cross-epoch state matches the
+                    // serial trainer's).
+                    let limit = if start < n_train { staleness } else { 0 };
+                    while in_flight > limit {
                         let t0 = Instant::now();
                         let fb = fb_rx.recv().map_err(drop)?;
                         scan.stall += t0.elapsed();
@@ -279,13 +264,16 @@ pub fn train_pipelined(
                         scan.busy += t1.elapsed();
                         in_flight -= 1;
                     }
+                    if start >= n_train {
+                        break;
+                    }
                     let t0 = Instant::now();
                     let end = strategy.next_batch_end(start, n_train);
                     scan.record(t0.elapsed());
                     let t1 = Instant::now();
                     plan_tx
                         .send(BatchPlan {
-                            epoch: _epoch,
+                            epoch,
                             batch_idx,
                             start,
                             end,
@@ -301,246 +289,99 @@ pub fn train_pipelined(
                     }
                     start = end;
                 }
-                // Epoch barrier: absorb the rest of the epoch's feedback
-                // so SG-Filter/ABS resets see a fully observed epoch (and
-                // cross-epoch state matches the serial trainer's).
-                while in_flight > 0 {
-                    let t0 = Instant::now();
-                    let fb = fb_rx.recv().map_err(drop)?;
-                    scan.stall += t0.elapsed();
-                    let t1 = Instant::now();
-                    strategy.after_batch(fb.batch_idx, fb.loss);
-                    strategy.observe_updates(&fb.deltas);
-                    scan.busy += t1.elapsed();
-                    in_flight -= 1;
-                }
             }
-            Ok(ScoutReport {
-                scan,
-                prepare,
-                timers: strategy.timers(),
-                space: strategy.space(),
-            })
+            Ok(ScoutReport { scan, prepare })
         });
 
         // ---- Driver: stages B and C over incoming plans. ----
-        let mut error: Option<PipelineError> = None;
-        let mut cur_epoch = usize::MAX;
-        let mut loss_sum = 0.0f64;
-        let mut event_sum = 0usize;
-        loop {
-            let t0 = Instant::now();
-            let plan = match plan_rx.recv() {
-                Ok(p) => p,
-                Err(_) => break, // scout retired (or died; join tells)
-            };
-            stage_b.stall += t0.elapsed();
-            if plan.start >= plan.end || plan.end > n_train {
-                error = Some(PipelineError {
-                    stage: PipelineStage::Scan,
-                    message: format!(
-                        "invalid batch boundary {}..{} (stream length {})",
-                        plan.start, plan.end, n_train
-                    ),
-                });
-                break;
-            }
-            if plan.epoch != cur_epoch {
-                if cur_epoch != usize::MAX {
-                    epoch_losses.push((loss_sum / event_sum.max(1) as f64) as f32);
-                    loss_sum = 0.0;
-                    event_sum = 0;
-                }
-                model.reset_state();
-                cur_epoch = plan.epoch;
-            }
-
-            // Stage B: forward, loss, backward, optimizer step. Autograd
-            // failures take the *typed* path: `try_backward` surfaces a
-            // structural problem (non-scalar loss, upstream length
-            // mismatch) as an `AutogradError` without unwinding, and it is
-            // mapped straight to a Compute-stage PipelineError here. The
-            // surrounding catch_unwind remains as the backstop for
-            // genuine panics elsewhere in the stage (shape asserts,
-            // index bounds), so the scout is always joined either way.
-            let t1 = Instant::now();
-            let step = catch_unwind(AssertUnwindSafe(|| {
-                if cfg.scale_lr_with_batch {
-                    let scale =
-                        ((plan.end - plan.start) as f32 / cfg.eval_batch_size as f32).sqrt();
-                    opt.set_lr(cfg.lr * scale);
-                }
-                let fwd =
-                    model.forward_batch(&events[plan.start..plan.end], plan.start, data.features());
-                let loss = fwd.loss.item();
-                if let Err(e) = fwd.loss.try_backward() {
-                    return Err(format!("autograd failed: {e}"));
-                }
-                if let Some(c) = cfg.clip_norm {
-                    clip_grad_norm(&params, c);
-                }
-                opt.step();
-                Ok((fwd.pending, fwd.shard_busy, loss))
-            }));
-            let (pending, shard_busy, loss) = match step {
-                Ok(Ok(x)) => x,
-                Ok(Err(message)) => {
-                    error = Some(PipelineError {
-                        stage: PipelineStage::Compute,
-                        message,
+        let driven = (|| -> Result<(), PipelineError> {
+            let mut cur_epoch = usize::MAX;
+            loop {
+                let t0 = Instant::now();
+                let Ok(plan) = plan_rx.recv() else {
+                    break; // scout retired (or died; join tells)
+                };
+                run.stages.compute.stall += t0.elapsed();
+                if plan.start >= plan.end || plan.end > n_train {
+                    return Err(PipelineError {
+                        stage: PipelineStage::Scan,
+                        message: format!(
+                            "invalid batch boundary {}..{} (stream length {})",
+                            plan.start, plan.end, n_train
+                        ),
                     });
-                    break;
                 }
-                Err(payload) => {
-                    error = Some(PipelineError {
-                        stage: PipelineStage::Compute,
-                        message: panic_message(payload),
-                    });
-                    break;
+                if plan.epoch != cur_epoch {
+                    if cur_epoch != usize::MAX {
+                        run.tally.end_epoch();
+                    }
+                    model.reset_state();
+                    cur_epoch = plan.epoch;
                 }
-            };
-            stage_b.record(t1.elapsed());
-            shard_t.record_shards(&shard_busy, cfg.compute_threads.max(1));
+                let batch = &events[plan.start..plan.end];
 
-            // Stage C: memory write-back, messages, adjacency.
-            let t2 = Instant::now();
-            let applied = catch_unwind(AssertUnwindSafe(|| {
-                model.apply_batch(
-                    &events[plan.start..plan.end],
-                    plan.start,
-                    data.features(),
-                    pending,
-                )
-            }));
-            let deltas = match applied {
-                Ok(d) => d,
-                Err(payload) => {
-                    error = Some(PipelineError {
-                        stage: PipelineStage::Update,
-                        message: panic_message(payload),
-                    });
-                    break;
+                // Stage B: forward, loss, backward, optimizer step.
+                // Autograd failures take the *typed* path: the step's
+                // `try_backward` surfaces a structural problem
+                // (non-scalar loss, upstream length mismatch) as an
+                // `AutogradError` without unwinding, mapped straight to a
+                // Compute-stage PipelineError here. The catch_unwind
+                // remains as the backstop for genuine panics elsewhere in
+                // the stage (shape asserts, index bounds), so the scout
+                // is always joined either way.
+                let computed = catch_unwind(AssertUnwindSafe(|| {
+                    run.compute(model, batch, plan.start, data.features())
+                }))
+                .map_err(|payload| stage_panic(PipelineStage::Compute, payload))?
+                .map_err(|e| PipelineError {
+                    stage: PipelineStage::Compute,
+                    message: format!("autograd failed: {e}"),
+                })?;
+                let loss = computed.loss;
+
+                // Stage C: memory write-back, messages, adjacency.
+                let deltas = catch_unwind(AssertUnwindSafe(|| {
+                    run.apply(model, batch, plan.start, data.features(), computed)
+                }))
+                .map_err(|payload| stage_panic(PipelineStage::Update, payload))?;
+
+                let t3 = Instant::now();
+                if fb_tx
+                    .send(Feedback {
+                        batch_idx: plan.batch_idx,
+                        loss,
+                        deltas,
+                    })
+                    .is_err()
+                {
+                    break; // scout died; join reports the real failure
                 }
-            };
-            stage_c.record(t2.elapsed());
-
-            // Batch boundary: the batch's graph is gone; trim the arena
-            // back to its steady-state working set.
-            cascade_tensor::arena::reset();
-
-            let size = plan.end - plan.start;
-            batch_sizes.push(size as u32);
-            batch_losses.push(loss);
-            loss_sum += loss as f64 * size as f64;
-            event_sum += size;
-            max_batch = max_batch.max(size);
-            num_batches += 1;
-
-            let t3 = Instant::now();
-            if fb_tx
-                .send(Feedback {
-                    batch_idx: plan.batch_idx,
-                    loss,
-                    deltas,
-                })
-                .is_err()
-            {
-                break; // scout died; join reports the real failure
+                run.stages.update.stall += t3.elapsed();
             }
-            stage_c.stall += t3.elapsed();
-        }
-        if error.is_none() && cur_epoch != usize::MAX {
-            epoch_losses.push((loss_sum / event_sum.max(1) as f64) as f32);
-        }
+            if cur_epoch != usize::MAX {
+                run.tally.end_epoch();
+            }
+            Ok(())
+        })();
 
         // Unblock and retire the scout: closing our channel ends makes
         // every scout-side send/recv fail fast, so join cannot hang.
         drop(plan_rx);
         drop(fb_tx);
         let joined = scout.join();
-        if let Some(e) = error {
-            return Err(e);
-        }
+        driven?;
         match joined {
             Ok(Ok(report)) => Ok(report),
             Ok(Err(())) => Err(PipelineError {
                 stage: PipelineStage::Scan,
                 message: "scan stage exited before the stream was fully scheduled".to_string(),
             }),
-            Err(payload) => Err(PipelineError {
-                stage: PipelineStage::Scan,
-                message: panic_message(payload),
-            }),
+            Err(payload) => Err(stage_panic(PipelineStage::Scan, payload)),
         }
     });
     let scout_report = scout_outcome?;
-
-    let total_time = t_total.elapsed();
-    let model_time = stage_b.busy + stage_c.busy;
-
-    // Simulated accelerator and pipelined-preprocessing credit: identical
-    // formulas to the serial trainer so modeled latencies stay comparable.
-    let events_processed = (n_train * epochs) as f64;
-    let per_event = model_time.as_secs_f64() / events_processed.max(1.0);
-    let overhead =
-        Duration::from_secs_f64(per_event * cfg.sim_batch_overhead_events * num_batches as f64);
-    let background = scout_report.timers.background_build;
-    let stall = scout_report.timers.build_table;
-    let overlap_credit = background.saturating_sub(stall).min(total_time / 2);
-    let modeled_time = (total_time + overhead).saturating_sub(overlap_credit);
-
-    let val = evaluate(model, data, cfg.eval_batch_size);
-
-    let build_time = if scout_report.timers.build_table > Duration::ZERO {
-        scout_report.timers.build_table
-    } else {
-        scout_report.prepare
-    };
-    let lookup_time = if scout_report.timers.lookup > Duration::ZERO {
-        scout_report.timers.lookup
-    } else {
-        scout_report.scan.busy
-    };
-
-    let space = SpaceBreakdown {
-        dependency_table: scout_report.space.dependency_bytes,
-        stable_flags: scout_report.space.flag_bytes,
-        graph: std::mem::size_of_val(events),
-        edge_features: data.features().size_bytes(),
-        model: model.parameter_count() * std::mem::size_of::<f32>(),
-        mailbox: model.mailbox_size_bytes(),
-        memory: model.memory_size_bytes(),
-        plane_shards: model.plane().num_shards(),
-    };
-
-    Ok(TrainReport {
-        strategy: strategy_name,
-        model: model.name().to_string(),
-        dataset: data.name().to_string(),
-        epochs,
-        total_time,
-        modeled_time,
-        build_time,
-        lookup_time,
-        model_time,
-        num_batches,
-        avg_batch_size: (n_train * epochs) as f64 / num_batches.max(1) as f64,
-        max_batch_size: max_batch,
-        final_train_loss: *epoch_losses.last().unwrap_or(&f32::NAN),
-        val_loss: val.loss,
-        val_ap: val.average_precision,
-        val_accuracy: val.accuracy,
-        epoch_losses,
-        batch_sizes,
-        batch_losses,
-        space,
-        stages: StageTimings {
-            scan: scout_report.scan,
-            compute: stage_b,
-            update: stage_c,
-            shard_compute: shard_t.shard_compute,
-        },
-    })
+    run.stages.scan = scout_report.scan;
+    Ok(run.finish_in_memory(model, strategy, data, scout_report.prepare))
 }
 
 #[cfg(test)]

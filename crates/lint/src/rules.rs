@@ -113,14 +113,12 @@ const TELEMETRY: &[&str] = &[
     "crates/serve/src/stats.rs",
 ];
 
-/// Modules allowed to call `arena::reset()`: the batch-loop drivers
-/// (trainer, streaming driver, pipelined executor) and the arena
-/// implementation itself.
+/// Modules allowed to call `arena::reset()`: the one batch step every
+/// single-process loop runs (`TrainRun` in the trainer), the dist worker
+/// loop, and the arena implementation itself.
 const ARENA_RESET_SITES: &[&str] = &[
     "crates/core/src/trainer.rs",
-    "crates/core/src/streaming.rs",
     "crates/dist/src/runtime.rs",
-    "crates/exec/src/pipeline.rs",
     "crates/tensor/src/arena.rs",
 ];
 
@@ -252,7 +250,7 @@ pub const RULES: &[RuleSpec] = &[
         why: "arena::reset() trims the thread-local tensor buffer pool and is only \
               safe at a batch boundary, after the previous batch's graph has been \
               dropped; mid-batch calls silently degrade recycling. Call sites are \
-              confined to the trainer/executor batch loops.",
+              confined to the shared batch step and the dist worker loop.",
     },
     RuleSpec {
         id: "arena-take-balance",
@@ -353,6 +351,13 @@ mod tests {
         assert!(in_scope(spawn, "crates/exec/src/workers.rs"));
         assert!(!in_scope(spawn, "crates/exec/src/pipeline.rs"));
         assert!(!in_scope(spawn, "crates/core/src/scheduler.rs"));
+
+        // Only the trainer's shared batch step resets the arena; the
+        // streaming driver and the pipelined executor call that step.
+        let arena = rule("arena-reset-confined").expect("rule is registered");
+        assert!(!in_scope(arena, "crates/core/src/trainer.rs"));
+        assert!(in_scope(arena, "crates/core/src/streaming.rs"));
+        assert!(in_scope(arena, "crates/exec/src/pipeline.rs"));
     }
 
     #[test]

@@ -182,8 +182,14 @@ fn run() -> Result<(), String> {
         }
         for phase in &report.phases {
             println!(
-                "  phase {:<20} [{}] {:>7} events, {:>5} batches, mean loss {:.4}",
-                phase.name, phase.kind, phase.events, phase.batches, phase.mean_loss
+                "  phase {:<20} [{}] {:>7} events, {:>5} batches, mean loss {}",
+                phase.name,
+                phase.kind,
+                phase.events,
+                phase.batches,
+                phase
+                    .mean_loss
+                    .map_or("n/a (not trained)".to_string(), |l| format!("{:.4}", l))
             );
         }
         let path = report

@@ -81,9 +81,10 @@ pub struct PhaseLoss {
     /// Final-epoch training batches whose first event falls in the
     /// phase (0 for phases entirely past the train split).
     pub batches: usize,
-    /// Event-weighted mean loss of those batches (NaN-free: 0 when the
-    /// phase saw no training batches).
-    pub mean_loss: f32,
+    /// Event-weighted mean loss of those batches; `None` (JSON `null`)
+    /// when the phase saw no training batches, so an untrained phase
+    /// never reads as a perfect loss.
+    pub mean_loss: Option<f32>,
 }
 
 /// The structured result of one scenario run, serialized to
@@ -179,7 +180,10 @@ impl ScenarioReport {
                                 ("kind".into(), Json::from(p.kind.as_str())),
                                 ("events".into(), Json::from(p.events)),
                                 ("batches".into(), Json::from(p.batches)),
-                                ("mean_loss".into(), Json::from(p.mean_loss as f64)),
+                                (
+                                    "mean_loss".into(),
+                                    p.mean_loss.map_or(Json::Null, |l| Json::from(l as f64)),
+                                ),
                             ])
                         })
                         .collect(),
@@ -278,7 +282,7 @@ mod tests {
                 kind: "baseline".into(),
                 events: 100,
                 batches: 2,
-                mean_loss: 0.7,
+                mean_loss: Some(0.7),
             }],
             space: None,
         }
@@ -306,6 +310,27 @@ mod tests {
         // Round-trips through the vendored parser.
         let text = json.to_string();
         assert!(Json::parse(&text).is_ok());
+    }
+
+    #[test]
+    fn untrained_phases_report_a_null_loss() {
+        let mut report = sample_report();
+        report.phases.push(PhaseLoss {
+            name: "held-out".into(),
+            kind: "baseline".into(),
+            events: 40,
+            batches: 0,
+            mean_loss: None,
+        });
+        let json = report.to_json();
+        let phases = json
+            .get("phase_losses")
+            .and_then(|v| v.as_arr())
+            .expect("phase losses serialize");
+        let loss = |i: usize| phases[i].get("mean_loss").expect("mean_loss is present");
+        assert_eq!(loss(0).as_f64().map(|l| l as f32), Some(0.7));
+        assert_eq!(loss(1), &Json::Null);
+        assert!(json.to_string().contains(r#""batches":0,"mean_loss":null"#));
     }
 
     #[test]

@@ -278,22 +278,14 @@ mod tests {
         }
     }
 
-    /// One seeded mutation of a valid request: bit flips, truncation,
-    /// an inflated `Content-Length`, or a header line that never ends.
+    /// One seeded mutation of a valid request: a generic byte mutation
+    /// ([`Gen::mutate_bytes`]: bit flips, truncation, an inflated binary
+    /// length field), an inflated `Content-Length`, or a header line that
+    /// never ends.
     fn mutate(g: &mut Gen, mut bytes: Vec<u8>) -> Vec<u8> {
-        match g.usize_in(0..4) {
-            0 => {
-                for _ in 0..g.usize_in(1..4) {
-                    let i = g.usize_in(0..bytes.len());
-                    bytes[i] ^= 1 << g.usize_in(0..8);
-                }
-                bytes
-            }
+        match g.usize_in(0..3) {
+            0 => g.mutate_bytes(bytes),
             1 => {
-                bytes.truncate(g.usize_in(0..bytes.len()));
-                bytes
-            }
-            2 => {
                 let text = String::from_utf8(bytes).unwrap();
                 let declared =
                     [MAX_BODY, MAX_BODY + 1, usize::MAX, g.usize_in(0..1 << 20)][g.usize_in(0..4)];

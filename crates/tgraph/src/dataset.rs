@@ -120,15 +120,22 @@ impl EdgeFeatures {
     }
 }
 
+/// The chronological 70/15/15 train/validation/test split of a stream of
+/// `num_events` events (following the TGL setup), as `(train_end,
+/// val_end)`: training is `0..train_end`, validation `train_end..val_end`
+/// and test `val_end..num_events`. Every trainer, loader and report that
+/// needs the split calls this, so they agree by construction.
+pub fn chronological_split(num_events: usize) -> (usize, usize) {
+    (num_events * 70 / 100, num_events * 85 / 100)
+}
+
 /// A named continuous-time dynamic graph dataset with chronological
-/// train/validation/test splits (70/15/15, following the TGL setup).
+/// train/validation/test splits ([`chronological_split`]).
 #[derive(Clone, Debug)]
 pub struct Dataset {
     name: String,
     stream: EventStream,
     features: EdgeFeatures,
-    train_end: usize,
-    val_end: usize,
 }
 
 impl Dataset {
@@ -146,15 +153,10 @@ impl Dataset {
                 "feature rows must match event count"
             );
         }
-        let n = stream.len();
-        let train_end = n * 70 / 100;
-        let val_end = n * 85 / 100;
         Dataset {
             name: name.into(),
             stream,
             features,
-            train_end,
-            val_end,
         }
     }
 
@@ -185,17 +187,18 @@ impl Dataset {
 
     /// Training event range.
     pub fn train_range(&self) -> Range<usize> {
-        0..self.train_end
+        0..chronological_split(self.stream.len()).0
     }
 
     /// Validation event range.
     pub fn val_range(&self) -> Range<usize> {
-        self.train_end..self.val_end
+        let (train_end, val_end) = chronological_split(self.stream.len());
+        train_end..val_end
     }
 
     /// Test event range.
     pub fn test_range(&self) -> Range<usize> {
-        self.val_end..self.stream.len()
+        chronological_split(self.stream.len()).1..self.stream.len()
     }
 
     /// Writes the event stream as a TGL-style CSV of `src,dst,time` rows

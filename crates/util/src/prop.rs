@@ -101,6 +101,42 @@ impl Gen {
     pub fn vec_usize(&mut self, len: usize, range: Range<usize>) -> Vec<usize> {
         (0..len).map(|_| self.usize_in(range.clone())).collect()
     }
+
+    /// One seeded corruption of a valid encoding, for decoder robustness
+    /// properties (a decoder must answer every mutant with a typed error
+    /// or a valid value, never a panic): one to three bit flips, a
+    /// truncation, or length-field inflation — a 4- or 8-byte
+    /// little-endian window overwritten with a huge value, the way a
+    /// forged count or length prefix looks. Empty input is returned as is.
+    pub fn mutate_bytes(&mut self, mut bytes: Vec<u8>) -> Vec<u8> {
+        if bytes.is_empty() {
+            return bytes;
+        }
+        match self.usize_in(0..3) {
+            0 => {
+                for _ in 0..self.usize_in(1..4) {
+                    let i = self.usize_in(0..bytes.len());
+                    bytes[i] ^= 1 << self.usize_in(0..8);
+                }
+            }
+            1 => bytes.truncate(self.usize_in(0..bytes.len())),
+            _ => {
+                let huge = [u64::MAX, 1 << 63, 1 << 32, 1 << 31, bytes.len() as u64 + 1];
+                let value = huge[self.usize_in(0..huge.len())];
+                let wide = bytes.len() >= 8 && self.usize_in(0..2) == 0;
+                let field = if wide {
+                    value.to_le_bytes().to_vec()
+                } else {
+                    (value.min(u32::MAX as u64) as u32).to_le_bytes().to_vec()
+                };
+                if field.len() <= bytes.len() {
+                    let at = self.usize_in(0..bytes.len() - field.len() + 1);
+                    bytes[at..at + field.len()].copy_from_slice(&field);
+                }
+            }
+        }
+        bytes
+    }
 }
 
 fn env_u64(key: &str, default: u64) -> u64 {
@@ -283,6 +319,26 @@ mod tests {
             prop_assert!(v.iter().all(|&x| (0.0..1.0).contains(&x)));
             Ok(())
         });
+    }
+
+    #[test]
+    fn mutations_change_the_input_within_its_length() {
+        let (mut cases, mut changed) = (0usize, 0usize);
+        check("mutate_bytes", |g| {
+            cases += 1;
+            let len = g.usize_in(8..64);
+            let valid: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mutant = g.mutate_bytes(valid.clone());
+            prop_assert!(mutant.len() <= valid.len(), "mutation grew the input");
+            changed += usize::from(mutant != valid);
+            Ok(())
+        });
+        // Two flips of one bit cancel out; anything else changes the input.
+        assert!(
+            changed * 16 >= cases * 15,
+            "only {changed} of {cases} mutants differ"
+        );
+        assert!(Gen::new(1).mutate_bytes(Vec::new()).is_empty());
     }
 
     #[test]
